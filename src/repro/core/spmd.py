@@ -86,6 +86,7 @@ compare both pricers); :data:`FASTFORWARD_MIN_SIZE` bounds when it engages.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
@@ -99,6 +100,7 @@ from ..collectives.topology import (
 from ..messaging import Request
 from ..simulator.errors import RankFailedError
 from ..simulator.network import freeze_payload, is_frozen_payload, payload_words
+from .portlog import LockstepError, PortLogs
 
 __all__ = [
     "LockstepError",
@@ -180,16 +182,6 @@ def _scan_vector_plan(op, values) -> Optional[tuple[str, Any]]:
     return None
 
 
-class LockstepError(RuntimeError):
-    """A lockstep phase cannot mirror the native execution exactly.
-
-    Raised when participants disagree on the phase shape or when the native
-    port-write order is ambiguous (e.g. two messages posted to one receive
-    port at the same instant).  The fix is to run the offending collective
-    with ``lockstep=False``.
-    """
-
-
 class LockstepRequest(Request):
     """Request-protocol handle for one rank's share of a lockstep phase.
 
@@ -262,7 +254,7 @@ class SpmdCoordinator:
     join, before any member wakes.
     """
 
-    __slots__ = ("_phases", "_recv_logs", "_live_first_joins",
+    __slots__ = ("_phases", "_logs", "_owner_ids", "_live_first_joins",
                  "tier_phases", "refusals", "fastforward_fallbacks")
 
     _KINDS = {
@@ -287,20 +279,22 @@ class SpmdCoordinator:
 
     def __init__(self):
         self._phases: dict = {}
-        # Per receive port (world rank): log of recently applied mirrored
-        # writes, shared across *all* phases and generations of this
-        # transport.  Native port writes fold in global chronological post
+        # Receive-port write logs of mirrored writes, shared across *all*
+        # phases and generations of this transport, created with the first
+        # phase.  Native port writes fold in global chronological post
         # order; phases that overlap in time on one port (unsynchronised
         # repetitions whose transfer times outlast a leaf's turnaround)
-        # apply writes out of that order.  The log lets such a write be
+        # apply writes out of that order.  The logs let such a write be
         # priced at its correct insertion point — and verified not to
         # change any already-applied later write — so benign overtakes
         # stay bit-identical and genuinely diverging ones raise instead of
-        # silently mispricing.  Entries are [post, leave, transfer,
-        # free_before, arrival, cap, owner phase, run-has-replay flag];
-        # see ``_PhaseBase._recv_side``, ``_PhaseBase._tie_commutes`` and
-        # ``_PhaseBase._commit_caps``.
-        self._recv_logs: dict = {}
+        # silently mispricing.  One columnar store holds every port's log
+        # (post, leave, transfer, free-before, arrival and cap columns, the
+        # writing phase's integer id, and a run-has-replay flag); see
+        # :mod:`repro.core.portlog`.  Entries name phases by id only, so a
+        # retired phase is never kept alive by the logs.
+        self._logs: Optional[PortLogs] = None
+        self._owner_ids = count()
         # First-join times of live (unresolved) phases: every write a live
         # phase can still produce posts at or after its first join, and
         # future phases post at or after the current virtual time — so
@@ -316,6 +310,18 @@ class SpmdCoordinator:
         self.tier_phases: dict = {}
         self.refusals = 0
         self.fastforward_fallbacks = 0
+
+    def port_logs(self, transport, engine) -> PortLogs:
+        """The transport's receive-port logs (created on first use)."""
+        logs = self._logs
+        if logs is None:
+            live = self._live_first_joins
+
+            def bound() -> float:
+                return min(engine._now, min(live)) if live else engine._now
+
+            logs = self._logs = PortLogs(transport._recv_port_free, bound)
+        return logs
 
     def join(self, ep, kind: str, value, op, root) -> LockstepRequest:
         try:
@@ -471,17 +477,17 @@ class _PhaseBase:
         self.joined_count = 0
         self.resolved_count = 0
         self._wakes: list = []
-        # Log entries appended by _recv_side that still need their cap (the
-        # committed value their arrival folded into) via _commit_caps.
+        # Log slots appended by _recv_side that still need their cap (the
+        # committed value their arrival folded into), see
+        # PortLogs.commit_caps.
         self._cap_pending: list = []
-        # Coordinator-shared receive-port write logs (see SpmdCoordinator).
-        # Posts tied at the same instant are serialised in application
-        # order; _tie_commutes documents when that is provably (or
-        # empirically) the engine's own tie order and when the phase must
-        # refuse instead.
+        # Coordinator-shared receive-port write logs (see SpmdCoordinator),
+        # which attribute this phase's entries to its integer id.
         self.coordinator = coordinator
+        self._owner = next(coordinator._owner_ids)
+        self._logs = coordinator.port_logs(transport, env.engine)
+        self._ports = None
         # Hot-path caches (bound once; _recv_side runs per tree edge).
-        self._recv_logs = coordinator._recv_logs
         self._recv_free = transport._recv_port_free
         self._recvd_by_rank = self.stats.per_rank_messages_received
         self._recvd_words_by_rank = self.stats.per_rank_words_received
@@ -678,213 +684,33 @@ class _PhaseBase:
         Native receive-port writes fold in chronological *post* order
         across all traffic sharing the port.  Eagerly priced phases can
         apply writes out of that order (a later phase's early leaf posts
-        before an earlier phase's deep-subtree send); the per-port log
-        re-inserts such a write at its native position and verifies the
-        fold of every already-applied later write is unchanged — raising
+        before an earlier phase's deep-subtree send);
+        :meth:`PortLogs.recv <repro.core.portlog.PortLogs.recv>` re-inserts
+        such a write at its native position and verifies the fold of every
+        already-applied later write is unchanged — raising
         :class:`LockstepError` when the native interleaving cannot be
-        reproduced.
+        reproduced.  Writes posted at *exactly* the same time are a special
+        hazard: the native engine breaks the tie by event insertion order,
+        which one phase's writes reproduce (they are emitted in native post
+        order) but two different phases' writes may not.  Each entry
+        records its owning phase's id so the store can decide which
+        foreign ties are safe and which must refuse.
 
         ``beta`` is the message's per-edge link beta on tiered machines
         (None selects the uniform link).  Log entries store the transfer
         term ``wire * beta`` — one port can see writes from different link
         tiers, so the product must travel with the entry for refolds
         (``free + wire*beta`` and ``free + (wire*beta)`` are the same float
-        expression, so this changes nothing on flat machines).
-
-        Writes posted at *exactly* the same time are a special hazard: the
-        native engine breaks the tie by event insertion order, which one
-        phase's writes reproduce (they are emitted in native post order)
-        but two different phases' writes may not — the interleaving
-        depends on scheduling history the pricer cannot see.  Each entry
-        records its owning phase; ``_tie_commutes`` decides which foreign
-        ties are safe and which must refuse.
+        expression, so this changes nothing on flat machines).  The new
+        entry's slot waits on ``_cap_pending`` for its cap.
         """
         world = self.world[dst]
-        logs = self._recv_logs
-        log = logs.get(world)
-        if log is None:
-            log = logs[world] = []
-        transfer = wire * (self.beta if beta is None else beta)
-        hier = self._hier_sub
-        tail = log[-1] if log else None
-        tied = tail is not None and post_time == tail[0]
-        if tail is None or post_time > tail[0] \
-                or (tied and ((not hier and not tail[7])
-                              or self._tie_commutes(log, len(log), post_time,
-                                                    leave, transfer, world))):
-            # In native post order: fold onto the live port state.
-            recv_free = self._recv_free
-            free_before = recv_free[world]
-            arrival = free_before + transfer
-            if leave > arrival:
-                arrival = leave
-            recv_free[world] = arrival
-            entry = [post_time, leave, transfer, free_before, arrival, None,
-                     self, hier or (tied and tail[7])]
-            if len(log) >= 24:
-                self._prune(log)
-            log.append(entry)
-        else:
-            # Out of native order: re-insert at the native position and
-            # re-fold the already-applied later writes.  A later write's
-            # arrival may *grow* without diverging as long as it stays at
-            # or below its cap — the committed value its consumer folded
-            # it into (always a ``max``), recorded by ``_commit_caps``.
-            index = len(log)
-            while index > 0 and log[index - 1][0] > post_time:
-                index -= 1
-            if index > 0 and log[index - 1][0] == post_time \
-                    and (hier or log[index - 1][7]):
-                self._tie_commutes(log, index, post_time, leave, transfer,
-                                   world)
-            free_before = log[index][3]
-            arrival = free_before + transfer
-            if leave > arrival:
-                arrival = leave
-            entry = [post_time, leave, transfer, free_before, arrival, None,
-                     self,
-                     hier or (index > 0 and log[index - 1][0] == post_time
-                              and log[index - 1][7])]
-            if hier:
-                # Keep the cumulative run flag true on every tied entry
-                # the new write now precedes.
-                for later in log[index:]:
-                    if later[0] != post_time:
-                        break
-                    later[7] = True
-            free = arrival
-            changed_to_end = True
-            for later in log[index:]:
-                later[3] = free
-                refold = free + later[2]
-                if later[1] > refold:
-                    refold = later[1]
-                if refold == later[4]:
-                    # Fold re-converged; everything downstream is untouched.
-                    changed_to_end = False
-                    break
-                cap = later[5]
-                if cap is None or refold > cap:
-                    raise LockstepError(
-                        f"lockstep {self.kind}: receive-port contention on "
-                        f"world rank {world} spans overlapping collective "
-                        f"phases (a write posted at {post_time} changes the "
-                        f"arrival of a later write posted at {later[0]} "
-                        f"beyond what its phase observed); run this "
-                        f"workload with lockstep disabled")
-                later[4] = refold
-                free = refold
-            if changed_to_end:
-                self._recv_free[world] = free
-            log.insert(index, entry)
-        self._cap_pending.append(entry)
+        arrival = self._logs.recv(
+            self, world, post_time, leave,
+            wire * (self.beta if beta is None else beta))
         self._recvd_by_rank[world] += 1
         self._recvd_words_by_rank[world] += wire
         return arrival
-
-    def _tie_commutes(self, log: list, end: int, post_time: float,
-                      leave: float, transfer: float, world: int) -> bool:
-        """Verify a write tying earlier entries' post time is order-safe.
-
-        ``log[run_start:end]`` is the maximal run of entries posted at
-        exactly ``post_time``.  Three cases are safe outright:
-
-        * every entry in the run belongs to this phase — the emission
-          order *is* the native order;
-        * neither this phase nor any owner in the run is a schedule-IR
-          replay (``_hier_sub``) — flat phases of one coordinator post in
-          generation order per port, which matches the engine's
-          insertion-order tie break (pinned bit-exactly by the flat
-          differential suite, including staggered repeats);
-        * the fold provably commutes — folding the write at the *front*
-          of the run leaves every tied arrival unchanged and yields the
-          same arrival it gets at the *back*; the fold is monotone in the
-          port-free time, so agreement at both extremes covers every
-          position in between.
-
-        A schedule replay interleaves its stages across generations (a
-        later repetition's leaf send can tie an earlier repetition's
-        subtree send), where the engine's tie order depends on event
-        insertion history the pricer cannot see — a non-commuting tie
-        there raises :class:`LockstepError` instead of silently picking
-        an order.  Returns True when the tie is safe, raises otherwise.
-        """
-        run_start = end
-        while run_start > 0 and log[run_start - 1][0] == post_time:
-            run_start -= 1
-        if run_start == end:
-            return True
-        if not self._hier_sub and not log[end - 1][7]:
-            return True
-        if all(log[k][6] is self for k in range(run_start, end)):
-            return True
-        front_free = log[run_start][3]
-        front_arrival = front_free + transfer
-        if leave > front_arrival:
-            front_arrival = leave
-        free = front_arrival
-        commutes = True
-        for k in range(run_start, end):
-            entry = log[k]
-            refold = free + entry[2]
-            if entry[1] > refold:
-                refold = entry[1]
-            if refold != entry[4]:
-                commutes = False
-                break
-            free = refold
-        if commutes:
-            back_free = log[end][3] if end < len(log) \
-                else self._recv_free[world]
-            back_arrival = back_free + transfer
-            if leave > back_arrival:
-                back_arrival = leave
-            commutes = front_arrival == back_arrival
-        if not commutes:
-            raise LockstepError(
-                f"lockstep {self.kind}: receive-port contention on world "
-                f"rank {world} — writes from overlapping collective phases "
-                f"posted at exactly {post_time} and their fold depends on "
-                f"the native tie order; run this workload with lockstep "
-                f"disabled")
-        return True
-
-    def _prune(self, log: list) -> None:
-        """Drop log entries that can no longer be overtaken.
-
-        A live phase only produces writes posted at or after its first
-        join, and any future phase posts at or after the current virtual
-        time — so ``min(now, *live_first_joins)`` bounds how far back a
-        port log can still see an out-of-order insertion.  Called off the
-        hot path (only once a log grows past a small threshold).
-        """
-        bound = self.engine._now
-        live = self.coordinator._live_first_joins
-        if live:
-            earliest = min(live)
-            if earliest < bound:
-                bound = earliest
-        drop = 0
-        for entry in log:
-            if entry[0] >= bound:
-                break
-            drop += 1
-        if drop:
-            del log[:drop]
-
-    def _commit_caps(self, cap: float) -> None:
-        """Record the committed value the pending arrivals folded into.
-
-        Every ``_recv_side`` arrival is consumed through a ``max`` by its
-        phase (a tree entry, a round resume, or the arrival itself); the
-        cap is that committed result.  A later out-of-order insertion may
-        re-fold the arrival upward bit-identically iff it stays at or
-        below the cap.
-        """
-        pending = self._cap_pending
-        for entry in pending:
-            entry[5] = cap
-        del pending[:]
 
     # ------------------------------------------------- fast-forward helpers
 
@@ -905,20 +731,48 @@ class _PhaseBase:
         float64 copies of this group's send/receive port frees, the
         port-log tail posts with their tie-hazard subset, and the members'
         join times.  Shared by every round-vectorised phase.
+
+        The vector pricers stay on the scalar in-order fold exactly when
+        every write they would apply posts *at or after* its port's tail
+        and their own per-round writes stay post-monotone per port; one
+        violation aborts the vector attempt before any state is touched
+        and the phase reruns through the scalar pricer, whose out-of-order
+        re-insertion handles (or honestly refuses) the overtake.  A write
+        tied exactly to a hazard tail (a schedule replay on either side)
+        aborts too: the vector path cannot run the commute proof, while
+        flat-vs-flat ties keep the in-order fold, the engine's tie order.
         """
         send_free = self._gather_port_array(self.transport._send_port_free)
         recv_free = self._gather_port_array(self._recv_free)
-        tails, hazard_tails = self._log_tails()
+        tails, hazard_tails = self._logs.tails(self._port_index(),
+                                               self._hier_sub)
         resume = np.array(self.joined, dtype=np.float64)
         return send_free, recv_free, tails, hazard_tails, resume
 
+    def _port_index(self) -> np.ndarray:
+        """Members' world ranks as an index array (built once)."""
+        ports = self._ports
+        if ports is None:
+            ports = self._ports = np.asarray(self.world, dtype=np.intp)
+        return ports
+
     def _commit_vector_ports(self, send_free: np.ndarray,
-                             recv_free: np.ndarray, entries_by_round: list,
-                             first_member: int = 0) -> None:
-        """Write a verified vector round-set back: ports, then log entries."""
+                             recv_free: np.ndarray,
+                             entries_by_round: list) -> None:
+        """Write a verified vector round-set back: ports, then log entries.
+
+        ``entries_by_round`` holds per-round ``(offset, posts, leaves,
+        transfer, frees, arrivals, caps)`` arrays over members ``offset..``
+        (``transfer`` is one float when the round's edges share a link).
+        The store scatters them straight into its columns, with the same
+        entries, caps and prune points the scalar pricer's
+        ``_recv_side`` and cap commits would have produced, so cross-phase
+        overtaking keeps working on top of a vectorised phase.
+        """
         self._scatter_port_array(self.transport._send_port_free, send_free)
         self._scatter_port_array(self._recv_free, recv_free)
-        self._commit_round_logs(entries_by_round, first_member)
+        self._logs.commit_rounds(self._port_index(), entries_by_round,
+                                 self._owner, self._hier_sub)
 
     def _scatter_port_array(self, port_list: list, values: np.ndarray) -> None:
         """Write a member-indexed array back into a per-world port list.
@@ -934,38 +788,6 @@ class _PhaseBase:
         else:
             for world, item in zip(self.world, items):
                 port_list[world] = item
-
-    def _log_tails(self) -> tuple:
-        """``(tails, hazards)`` per member port, both -inf when no entries.
-
-        ``tails`` is the post time of the port's last log entry.  The
-        vector pricers stay on the scalar in-order fold exactly when every
-        write they would apply posts *at or after* this tail and their own
-        per-round writes stay post-monotone per port; one violation aborts
-        the vector attempt before any state is touched and the phase
-        reruns through the scalar pricer, whose out-of-order re-insertion
-        handles (or honestly refuses) the overtake.
-
-        ``hazards`` repeats the tail post time only where a write tied
-        exactly to it would be order-ambiguous — this phase or an owner in
-        the tail's tied run is a schedule replay (see ``_tie_commutes``).
-        The vector path cannot run the commute proof, so it aborts to the
-        scalar pricer on those ties too; flat-vs-flat ties keep the plain
-        in-order fold, which is the engine's own tie order.
-        """
-        tails = np.full(self.size, -np.inf)
-        hazards = np.full(self.size, -np.inf)
-        logs = self._recv_logs
-        if logs:
-            hier = self._hier_sub
-            for index, world in enumerate(self.world):
-                log = logs.get(world)
-                if log:
-                    tail = log[-1]
-                    tails[index] = tail[0]
-                    if hier or tail[7]:
-                        hazards[index] = tail[0]
-        return tails, hazards
 
     def _tier_link_arrays(self) -> Optional[tuple]:
         """``(alphas, betas, node_id, island_id)`` member arrays, or None.
@@ -998,46 +820,6 @@ class _PhaseBase:
             np.array([pair[1] for pair in tiers], dtype=np.float64),
             ids[0][world], ids[1][world])
         return cached
-
-    def _commit_round_logs(self, entries_by_round: list,
-                           first_member: int = 0) -> None:
-        """Append a vector-priced phase's port writes as real log entries.
-
-        ``entries_by_round`` holds per-round ``(offset, posts, leaves,
-        transfer, frees, arrivals, caps)`` tuples whose lists are indexed by
-        ``member - offset`` (members below ``offset`` did not receive that
-        round); ``transfer`` is the entry's ``wire * beta`` product — one
-        scalar float when the round's edges share a link, else a list.
-        Entries, caps, and prune points match what the scalar
-        pricer's ``_recv_side``/``_commit_caps`` would have produced — the
-        append order per port is round-ascending, the prune check runs
-        before each append with the same bound — so cross-phase overtaking
-        keeps working unchanged on top of a vectorised phase.
-        """
-        logs = self._recv_logs
-        world = self.world
-        prune = self._prune
-        hier = self._hier_sub
-        for member in range(first_member, self.size):
-            dst = world[member]
-            log = logs.get(dst)
-            if log is None:
-                log = logs[dst] = []
-            for offset, posts, leaves, transfer, frees, arrivals, caps \
-                    in entries_by_round:
-                index = member - offset
-                if index < 0:
-                    continue
-                if len(log) >= 24:
-                    prune(log)
-                post = posts[index]
-                log.append([post, leaves[index],
-                            transfer[index] if transfer.__class__ is list
-                            else transfer,
-                            frees[index], arrivals[index], caps[index],
-                            self,
-                            hier or (bool(log) and log[-1][0] == post
-                                     and log[-1][7])])
 
     # Tree helpers (vrank rotation for rooted collectives).
 
@@ -1225,7 +1007,7 @@ class _ScanPhase(_PhaseBase):
                     or np.any(posts == hazard_tails[distance:]):
                 return False
             tails[distance:] = posts
-            frees = recv_free[distance:].tolist()
+            frees = recv_free[distance:].copy()
             arrival = recv_free[distance:] + e_wb
             np.maximum(arrival, leaves, out=arrival)
             recv_free[distance:] = arrival
@@ -1239,15 +1021,14 @@ class _ScanPhase(_PhaseBase):
             np.maximum(segment, leaves, out=segment)
             segment = new_resume[distance:]
             np.maximum(segment, arrival, out=segment)
-            entries_by_round.append(
-                (distance, posts.tolist(), leaves.tolist(),
-                 e_wb if e_wb.__class__ is float else e_wb.tolist(), frees,
-                 arrival.tolist(), new_resume[distance:].tolist()))
+            # No round array is written after this point (``resume`` is
+            # replaced, never updated in place), so the store can take them.
+            entries_by_round.append((distance, posts, leaves, e_wb, frees,
+                                     arrival, new_resume[distance:]))
             resume = new_resume
         # ---- all rounds verified in-order: commit. -----------------------
         self.tier = "fastforward"
-        self._commit_vector_ports(send_free, recv_free, entries_by_round,
-                                  first_member=1)
+        self._commit_vector_ports(send_free, recv_free, entries_by_round)
         stats = self.stats
         sent_by_rank = stats.per_rank_messages_sent
         sent_words_by_rank = stats.per_rank_words_sent
@@ -1306,7 +1087,8 @@ class _ScanPhase(_PhaseBase):
         send_free = self.transport._send_port_free
         stats = self.stats
         recv_side = self._recv_side
-        commit_caps = self._commit_caps
+        commit_caps = self._logs.commit_caps
+        pending = self._cap_pending
         compute_cost = self.compute_cost
         sends = self.sends
         resume = self.joined[rank]
@@ -1350,7 +1132,7 @@ class _ScanPhase(_PhaseBase):
                     resume = leave
                 if arrival is not None and arrival > resume:
                     resume = arrival
-            commit_caps(resume)
+            commit_caps(pending, resume)
         stats.messages_sent += nsent
         stats.words_sent += wsent
         stats.per_rank_messages_sent[world_rank] += nsent
@@ -1384,10 +1166,8 @@ class _BcastPhase(_PhaseBase):
         Parents price before children — the only ordering the per-port
         write sequences depend on — with the sender half of ``post_send``
         inlined (same float operand order as ``_send_side``) and the
-        in-order untied receive fold applied without the ``_recv_side``
-        call; tied or out-of-order folds take the full logged path.
+        receiver half going straight to the port logs.
         """
-        size = self.size
         root = self.root
         joined = self.joined
         world = self.world
@@ -1395,13 +1175,11 @@ class _BcastPhase(_PhaseBase):
         beta = self.beta
         pmd = self.pmd
         tiered = self._tiered
-        hier = self._hier_sub
         fed_finish = self._fed_finish
         fed_values = self._fed_values
-        logs = self._recv_logs
-        recv_free = self._recv_free
-        recv_side = self._recv_side
-        commit_caps = self._commit_caps
+        logs = self._logs
+        recv = logs.recv
+        pending = self._cap_pending
         recvd = self._recvd_by_rank
         recvd_words = self._recvd_words_by_rank
         send_free = self.transport._send_port_free
@@ -1448,31 +1226,13 @@ class _BcastPhase(_PhaseBase):
                 wsent += wire
                 sent_by_rank[src] += 1
                 sent_words_by_rank[src] += wire
+                # ``_recv_side`` inlined.  The arrival is consumed verbatim
+                # as the child's entry floor, so cap = arrival.
                 dst = world[child]
-                log = logs.get(dst)
-                if log is None:
-                    log = logs[dst] = []
-                tail = log[-1] if log else None
-                if tail is None or entry > tail[0]:
-                    # In-order untied: the in-order branch of
-                    # ``_recv_side``, verbatim; the arrival is consumed
-                    # verbatim as the child's entry floor, so cap = arrival.
-                    transfer = wire * ebeta
-                    free_before = recv_free[dst]
-                    arrival = free_before + transfer
-                    if leave > arrival:
-                        arrival = leave
-                    recv_free[dst] = arrival
-                    row = [entry, leave, transfer, free_before, arrival,
-                           arrival, self, hier]
-                    if len(log) >= 24:
-                        self._prune(log)
-                    log.append(row)
-                    recvd[dst] += 1
-                    recvd_words[dst] += wire
-                else:
-                    arrival = recv_side(child, leave, wire, entry, ebeta)
-                    commit_caps(arrival)
+                arrival = recv(self, dst, entry, leave, wire * ebeta)
+                logs.cap[pending.pop()] = arrival
+                recvd[dst] += 1
+                recvd_words[dst] += wire
                 arrivals[child] = (arrival, entry)
                 if leave > finish:
                     finish = leave
@@ -1520,7 +1280,7 @@ class _BcastPhase(_PhaseBase):
                 arrival = self._recv_side(child, leave, wire, entry)
             # The arrival is consumed verbatim as the child's entry floor,
             # so it admits no growth: cap = arrival.
-            self._commit_caps(arrival)
+            self._logs.commit_caps(self._cap_pending, arrival)
             self.arrivals[child] = (arrival, entry)
             if leave > finish:
                 finish = leave
@@ -1562,9 +1322,9 @@ class _TreeUpPhase(_PhaseBase):
         cascade would have, with identical per-port write sequences (each
         resolve touches only its own ports).  The sender half of
         ``post_send`` is inlined with the exact float operand order of
-        ``_send_side``, and the in-order untied receive fold bypasses the
-        ``_recv_side`` call (this pass dominates the composed-allreduce
-        gate); tied or out-of-order folds take the full logged path.
+        ``_send_side``, and the receiver half goes straight to the port
+        logs, bypassing the ``_recv_side`` call (this pass dominates the
+        composed-allreduce gate).
         """
         size = self.size
         root = self.root
@@ -1575,13 +1335,11 @@ class _TreeUpPhase(_PhaseBase):
         beta = self.beta
         factor = self.factor
         tiered = self._tiered
-        hier = self._hier_sub
         fed_finish = self._fed_finish
         fed_values = self._fed_values
-        logs = self._recv_logs
-        recv_free = self._recv_free
-        recv_side = self._recv_side
-        cap_pending = self._cap_pending
+        recv = self._logs.recv
+        commit_caps = self._logs.commit_caps
+        pending = self._cap_pending
         recvd = self._recvd_by_rank
         recvd_words = self._recvd_words_by_rank
         send_free = self.transport._send_port_free
@@ -1600,46 +1358,15 @@ class _TreeUpPhase(_PhaseBase):
                 edges = [up_send[child] for child in children]
                 if len(edges) > 1:
                     edges.sort(key=_EDGE_POST)
-                rows = None
                 dst = world[rank]
-                log = logs.get(dst)
-                if log is None:
-                    log = logs[dst] = []
                 for post_time, leave, wire, _payload, ebeta in edges:
-                    tail = log[-1] if log else None
-                    if tail is None or post_time > tail[0]:
-                        # In-order untied: the in-order branch of
-                        # ``_recv_side``, verbatim.
-                        transfer = wire * ebeta
-                        free_before = recv_free[dst]
-                        arrival = free_before + transfer
-                        if leave > arrival:
-                            arrival = leave
-                        recv_free[dst] = arrival
-                        row = [post_time, leave, transfer, free_before,
-                               arrival, None, self, hier]
-                        if len(log) >= 24:
-                            self._prune(log)
-                        log.append(row)
-                        recvd[dst] += 1
-                        recvd_words[dst] += wire
-                        if rows is None:
-                            rows = [row]
-                        else:
-                            rows.append(row)
-                    else:
-                        arrival = recv_side(rank, leave, wire, post_time,
-                                            ebeta)
+                    arrival = recv(self, dst, post_time, leave, wire * ebeta)
+                    recvd[dst] += 1
+                    recvd_words[dst] += wire
                     if arrival > entry:
                         entry = arrival
                 # Only the max of (join, arrivals) is committed downstream.
-                if rows is not None:
-                    for row in rows:
-                        row[5] = entry
-                if cap_pending:
-                    for row in cap_pending:
-                        row[5] = entry
-                    del cap_pending[:]
+                commit_caps(pending, entry)
             if vrank == 0:
                 fed_finish[rank] = entry
                 fed_values[rank] = self._root_result(rank, children)
@@ -1699,7 +1426,7 @@ class _TreeUpPhase(_PhaseBase):
                 if arrival > entry:
                     entry = arrival
         # Only the max of (join, arrivals) is committed downstream.
-        self._commit_caps(entry)
+        self._logs.commit_caps(self._cap_pending, entry)
         return entry
 
     def _resolve(self, rank: int, children: list[int]) -> None:
@@ -1889,15 +1616,15 @@ class _BarrierPhase(_PhaseBase):
             if np.any(posts < tails) or np.any(posts == hazard_tails):
                 return False
             tails = posts
-            frees = recv_free.tolist()
+            frees = recv_free
             arrival = recv_free + 0.0
             np.maximum(arrival, leaves[source], out=arrival)
             recv_free = arrival
             new_resume = np.maximum(resume, leaves)
             np.maximum(new_resume, arrival, out=new_resume)
-            entries_by_round.append(
-                (0, posts.tolist(), leaves[source].tolist(), 0.0, frees,
-                 arrival.tolist(), new_resume.tolist()))
+            # Every array here is fresh per round and never written again.
+            entries_by_round.append((0, posts, leaves[source], 0.0, frees,
+                                     arrival, new_resume))
             resume = new_resume
         # ---- all rounds verified in-order: commit. -----------------------
         self.tier = "fastforward"
@@ -1923,8 +1650,12 @@ class _BarrierPhase(_PhaseBase):
         send_free = self.transport._send_port_free
         stats = self.stats
         sent_by_rank = stats.per_rank_messages_sent
-        recv_side = self._recv_side
-        commit_caps = self._commit_caps
+        # Receiver half: ``_recv_side`` inlined for zero-word messages.
+        recv = self._logs.recv
+        transfer = 0 * (0.0 if tiered else self.beta)
+        recvd = self._recvd_by_rank
+        commit_caps = self._logs.commit_caps
+        pending = self._cap_pending
         finish = self._finish
         resume = list(self.joined)
         local_delay = 0.0 + self.pmd  # isend(None): local_delay defaults 0.0
@@ -1957,15 +1688,17 @@ class _BarrierPhase(_PhaseBase):
                 source = rank_ - distance
                 if source < 0:
                     source += size
-                arrival = recv_side(rank_, leaves[source], 0, posts[source],
-                                    0.0 if tiered else None)
+                dst = world[rank_]
+                arrival = recv(self, dst, posts[source], leaves[source],
+                               transfer)
+                recvd[dst] += 1
                 new_resume = resume[rank_]
                 if leaves[rank_] > new_resume:
                     new_resume = leaves[rank_]
                 if arrival > new_resume:
                     new_resume = arrival
                 resume[rank_] = new_resume
-                commit_caps(new_resume)
+                commit_caps(pending, new_resume)
         stats.messages_sent += nsent
         for rank_ in range(size):
             finish(rank_, resume[rank_], None)
@@ -2073,6 +1806,7 @@ class _ExchangePhase(_PhaseBase):
         self.cap_words[rank] = cap_words
         self.charge[rank] = charge
         pending = self._cap_pending
+        logs = self._logs
         inbound = self.inbound
         best_leave = 0.0
         touched = []
@@ -2083,9 +1817,9 @@ class _ExchangePhase(_PhaseBase):
             leave = self._send_side(rank, post_time, 0.0, wire, link)
             self._recv_side(dest, leave, wire, post_time,
                             None if link is None else link[1])
-            entry = pending.pop()
-            entry[5] = _INF
-            inbound[dest].append(entry)
+            slot = pending.pop()
+            logs.cap[slot] = _INF
+            inbound[dest].append(slot)
             touched.append(dest)
             if leave > best_leave:
                 best_leave = leave
@@ -2101,8 +1835,8 @@ class _ExchangePhase(_PhaseBase):
         request = self.requests[member]
         if request._ready:
             return
-        entries = self.inbound[member]
-        arrived = len(entries)
+        slots = self.inbound[member]
+        arrived = len(slots)
         if arrived < expected:
             return
         if arrived > expected:
@@ -2113,12 +1847,12 @@ class _ExchangePhase(_PhaseBase):
         # Re-read arrivals: out-of-order inserts from overlapping phases may
         # have re-folded them upward since the send was priced.
         drain = self.joined[member]
-        for entry in entries:
-            arrival = entry[4]
+        arrivals = self._logs.arrival
+        for slot in slots:
+            arrival = arrivals[slot]
             if arrival > drain:
                 drain = arrival
-        for entry in entries:
-            entry[5] = drain
+        self._logs.commit_caps(slots, drain)
         finish = drain
         if self.charge[member]:
             finish = drain + self.compute_cost(self.cap_words[member])
