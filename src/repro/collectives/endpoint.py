@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from ..messaging import RecvRequest
 from ..simulator.costmodel import CostModel
-from ..simulator.network import Transport, payload_words
+from ..simulator.network import Transport, check_words, payload_words
 from ..simulator.process import RankEnv
 
 __all__ = ["TransportEndpoint"]
@@ -81,11 +81,20 @@ class TransportEndpoint:
               words: Optional[int] = None):
         """Nonblocking send of ``payload`` to group rank ``dest``.
 
+        ``words`` is the payload's unscaled size (a non-negative integer;
+        measured with :func:`~repro.simulator.network.payload_words` when
+        omitted).  Schedules forwarding a received payload pass the count it
+        arrived with (``RecvRequest.payload_words``) so it is never measured
+        twice.  The wire size is ``words`` scaled by ``word_cost_factor``;
+        the unscaled count travels with the message.
+
         Returns the transport's :class:`~repro.simulator.network.SendHandle`,
         which implements the request protocol (``test``/``result``) directly.
         """
         if words is None:
             words = payload_words(payload)
+        elif words.__class__ is not int or words < 0:
+            check_words(words)
         factor = self.word_cost_factor
         wire_words = words if factor == 1.0 else int(round(words * factor))
         affine = self._affine
@@ -103,6 +112,7 @@ class TransportEndpoint:
             payload,
             wire_words,
             local_delay + self.per_message_delay,
+            words,
         )
 
     def irecv(self, source: int) -> RecvRequest:

@@ -218,11 +218,13 @@ def ring_allgather_schedule(ep: TransportEndpoint, value: Any):
     succ = (rank + 1) % size
     pred = (rank - 1) % size
     carried = (rank, value)
+    words = None  # measured once; forwarded blocks keep their arrival count
     for _ in range(size - 1):
-        send = ep.isend(carried, succ)
+        send = ep.isend(carried, succ, words=words)
         recv = ep.irecv(pred)
         yield [send, recv]
         carried = recv.result()
+        words = recv.payload_words
         src, payload = carried
         gathered[src] = payload
     return gathered
@@ -302,11 +304,12 @@ def pipeline_bcast_schedule(ep: TransportEndpoint, value: Any, root: int,
             state.append(pending_send)
             pending_send = None
         yield state
-        index, num_segments, segment = recv.result()
+        message = recv.result()
+        index, num_segments, segment = message
         segments.append(np.asarray(segment))
         received += 1
         if succ is not None:
-            pending_send = ep.isend((index, num_segments, segment), succ)
+            pending_send = ep.isend(message, succ, words=recv.payload_words)
     if pending_send is not None:
         yield [pending_send]
     return np.concatenate(segments) if segments else np.asarray(value)

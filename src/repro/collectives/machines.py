@@ -133,6 +133,12 @@ def bcast_schedule(ep: TransportEndpoint, value: Any, root: int):
     frozen payloads.  Array-receiving ranks therefore return a read-only
     view of the single broadcast buffer; the root keeps its own (possibly
     writable) payload and sends one frozen copy down the tree.
+
+    The payload is measured once, by the root: every send passes the
+    unscaled word count explicitly, and a non-root rank forwards the count
+    its message arrived with (``RecvRequest.payload_words``).  A broadcast of
+    an O(p)-entry list (the allgather of ``MPI_Comm_split``) therefore costs
+    O(p) host work in total for measuring, not O(p) per tree edge.
     """
     size = ep.size
     if size == 1:
@@ -144,8 +150,10 @@ def bcast_schedule(ep: TransportEndpoint, value: Any, root: int):
         yield [recv]
         value = freeze_payload(recv.result())
         wire = value
+        words = recv.payload_words
     else:
         wire = None  # snapshot the root payload lazily, once, for all children
+        words = payload_words(value)
     sends = []
     for child in binomial_children(vrank, size):
         if wire is None:
@@ -153,7 +161,7 @@ def bcast_schedule(ep: TransportEndpoint, value: Any, root: int):
                 wire = freeze_payload(value.copy())
             else:
                 wire = value
-        sends.append(ep.isend(wire, (child + root) % size))
+        sends.append(ep.isend(wire, (child + root) % size, words=words))
     if sends:
         yield sends
     return value

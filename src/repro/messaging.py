@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .simulator.network import ANY_SOURCE, ANY_TAG, Transport, payload_words
+from .simulator.network import ANY_SOURCE, ANY_TAG, Transport
 from .simulator.process import RankEnv
 
 __all__ = [
@@ -199,6 +199,18 @@ class RecvRequest(Request):
         if self._message is None:
             return None
         return self._message.payload
+
+    @property
+    def payload_words(self) -> int:
+        """Unscaled word count of the matched payload, as its sender measured
+        it (call only when ``test()`` has returned True).
+
+        Forwarding schedules pass it to ``isend(words=...)`` so a payload is
+        measured once, at its origin, however often it is forwarded.  Unlike
+        ``Status.count`` (the priced wire size), it excludes any vendor word
+        factor.
+        """
+        return self._message.payload_words
 
     def take(self) -> Any:
         """Return the matched payload and re-arm the request (multi-shot).

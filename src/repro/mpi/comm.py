@@ -36,7 +36,7 @@ from ..collectives.machines import (
     reduce_schedule,
     scan_schedule,
 )
-from ..simulator.network import ANY_SOURCE, ANY_TAG, payload_words
+from ..simulator.network import ANY_SOURCE, ANY_TAG, check_words, payload_words
 from ..simulator.process import RankEnv
 from .datatypes import PROC_NULL, SUM
 from .group import MpiGroup
@@ -119,7 +119,13 @@ class MpiCommunicator:
 
     def isend(self, payload: Any, dest: int, tag: int = 0, *,
               words: Optional[int] = None) -> Request:
-        """Nonblocking send to communicator rank ``dest``."""
+        """Nonblocking send to communicator rank ``dest``.
+
+        ``words`` overrides the payload's measured size; it must be a
+        non-negative integer (``ValueError`` otherwise).
+        """
+        if words is not None:
+            check_words(words)
         if dest == PROC_NULL:
             return CompletedRequest(self._env)
         handle = self._env.transport.post_send(

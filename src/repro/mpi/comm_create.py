@@ -22,6 +22,7 @@ schedules — emerge naturally in the simulation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 import numpy as np
@@ -48,22 +49,27 @@ def _creation_endpoint(parent: MpiCommunicator, *, channel: str, tag: int,
                        members: Optional[list[int]] = None) -> TransportEndpoint:
     """Endpoint for the context-ID agreement collective.
 
-    ``members`` is the list of parent ranks taking part (defaults to all of
-    them); the endpoint's group-local rank space is the index into that list.
-    The user-provided ``tag`` keeps concurrent creations on overlapping groups
-    apart, exactly as the real ``MPI_Comm_create_group`` interface requires.
+    ``members`` is the ascending list of parent ranks taking part (defaults
+    to all of them); the endpoint's group-local rank space is the index into
+    that list.  The user-provided ``tag`` keeps concurrent creations on
+    overlapping groups apart, exactly as the real ``MPI_Comm_create_group``
+    interface requires.
     """
     env = parent.env
     if members is None:
         rank = parent.rank
         size = parent.size
         to_world = parent.to_world
+        affine = parent.group.affine_world_map()
     else:
-        rank = members.index(parent.rank)
+        rank = bisect_left(members, parent.rank)
         size = len(members)
+        translate = parent.group.translate
 
-        def to_world(index: int, _members=members, _parent=parent) -> int:
-            return _parent.to_world(_members[index])
+        def to_world(index: int) -> int:
+            return translate(members[index])
+
+        affine = None
 
     return TransportEndpoint(
         env,
@@ -73,6 +79,7 @@ def _creation_endpoint(parent: MpiCommunicator, *, channel: str, tag: int,
         rank=rank,
         size=size,
         to_world=to_world,
+        world_affine=affine,
     )
 
 
@@ -104,8 +111,8 @@ def comm_create_group(parent: MpiCommunicator, group: MpiGroup, tag: int = 0):
         raise ValueError(
             f"rank {world_rank} called comm_create_group but is not in the group")
 
-    members = sorted(parent.from_world(w) for w in group.world_ranks())
-    if any(m == UNDEFINED for m in members):
+    members = sorted(parent.group.ranks_of(group.world_ranks()))
+    if UNDEFINED in members:
         raise ValueError("group contains ranks outside the parent communicator")
 
     endpoint = _creation_endpoint(parent, channel="create_group", tag=tag,
@@ -150,13 +157,12 @@ def comm_split(parent: MpiCommunicator, color: Optional[int], key: int = 0):
     if color is None:
         return None
 
-    mine = sorted(
+    mine = sorted([
         (entry_key, entry_rank)
         for entry_color, entry_key, entry_rank in entries
         if entry_color == color
-    )
-    my_group_world_ranks = [parent.to_world(rank) for _, rank in mine]
-    group = MpiGroup.incl(my_group_world_ranks)
+    ])
+    group = MpiGroup.incl(parent.group.translate_ranks([rank for _, rank in mine]))
 
     # 4. Materialise the explicit group representation for the new communicator.
     yield from env.compute_time(vendor.group_construction_cost(group.size))

@@ -13,6 +13,14 @@ storage in Section III of the paper:
 The storage format matters for the vendor cost model: native communicator
 creation charges for materialising the explicit format, whereas the
 range-based proposal of Section VI never does.
+
+Translation comes scalar (``translate``, ``rank_of``) and in bulk
+(``translate_ranks``, ``ranks_of``).  Communicator creation translates O(p)
+ranks per process, so it uses the bulk forms: a single-range group
+translates by arithmetic, an explicit group by indexing its rank list
+(forward) or a rank -> index dict built once on first use (inverse, which
+also makes the scalar ``rank_of`` O(1)).  Bulk and scalar translation give
+identical results and raise identical exceptions.
 """
 
 from __future__ import annotations
@@ -59,7 +67,12 @@ class _RangeTriple:
 
 
 class MpiGroup:
-    """An ordered set of world ranks (mirrors ``MPI_Group``)."""
+    """An ordered set of world ranks (mirrors ``MPI_Group``).
+
+    Scalar translation (:meth:`translate`, :meth:`rank_of`) has bulk
+    counterparts (:meth:`translate_ranks`, :meth:`ranks_of`) that translate
+    O(p) ranks without a call per rank; see the module docstring.
+    """
 
     def __init__(self, *, explicit: Optional[Sequence[int]] = None,
                  ranges: Optional[Sequence[tuple]] = None):
@@ -67,7 +80,7 @@ class MpiGroup:
             raise ValueError("provide exactly one of explicit= or ranges=")
         if explicit is not None:
             self._format = GroupFormat.EXPLICIT
-            self._ranks = list(int(r) for r in explicit)
+            self._ranks = list(map(int, explicit))
             if len(set(self._ranks)) != len(self._ranks):
                 raise ValueError("duplicate ranks in group")
             self._ranges: list[_RangeTriple] = []
@@ -102,6 +115,8 @@ class MpiGroup:
             self._single = None
             self._size = (len(self._ranks) if self._format == GroupFormat.EXPLICIT
                           else sum(t.count for t in self._ranges))
+        # World rank -> group rank of an explicit group, built on first use.
+        self._index: Optional[dict] = None
 
     # ------------------------------------------------------------ constructors
 
@@ -131,8 +146,13 @@ class MpiGroup:
     def size(self) -> int:
         return self._size
 
-    def world_ranks(self) -> list[int]:
-        """Materialise the ordered list of world ranks (O(size))."""
+    def world_ranks(self) -> Sequence[int]:
+        """The ordered world ranks: a ``range`` for a single-range group
+        (O(1)), otherwise a fresh list (O(size))."""
+        single = self._single
+        if single is not None:
+            first, stride, count = single
+            return range(first, first + count * stride, stride)
         if self._format == GroupFormat.EXPLICIT:
             return list(self._ranks)
         ranks = []
@@ -158,6 +178,24 @@ class MpiGroup:
             remaining -= triple.count
         raise IndexError(f"group rank {group_rank} out of range (size {self.size})")
 
+    def translate_ranks(self, group_ranks: Iterable[int]) -> list[int]:
+        """Bulk :meth:`translate`: ``[translate(g) for g in group_ranks]``.
+
+        O(len) with no per-rank call for single-range and explicit groups.
+        An out-of-range rank raises exactly what :meth:`translate` raises for
+        the first such rank.
+        """
+        ranks = list(group_ranks)
+        if ranks and 0 <= min(ranks) and max(ranks) < self._size:
+            single = self._single
+            if single is not None:
+                first, stride, _ = single
+                return [first + g * stride for g in ranks]
+            if self._format == GroupFormat.EXPLICIT:
+                table = self._ranks
+                return [table[g] for g in ranks]
+        return [self.translate(g) for g in ranks]
+
     def affine_world_map(self) -> Optional[tuple[int, int]]:
         """``(first, stride)`` when translation is ``first + i * stride``.
 
@@ -170,12 +208,19 @@ class MpiGroup:
         return self._single[0], self._single[1]
 
     def rank_of(self, world_rank: int) -> int:
-        """World rank -> group-local rank, or ``UNDEFINED`` if not a member."""
+        """World rank -> group-local rank, or ``UNDEFINED`` if not a member.
+
+        O(1) for single-range and explicit groups, O(ranges) otherwise.
+        """
+        single = self._single
+        if single is not None:
+            first, stride, count = single
+            offset = world_rank - first
+            if 0 <= offset and offset % stride == 0 and offset // stride < count:
+                return offset // stride
+            return UNDEFINED
         if self._format == GroupFormat.EXPLICIT:
-            try:
-                return self._ranks.index(world_rank)
-            except ValueError:
-                return UNDEFINED
+            return self._rank_index().get(world_rank, UNDEFINED)
         offset = 0
         for triple in self._ranges:
             index = triple.index_of(world_rank)
@@ -183,6 +228,43 @@ class MpiGroup:
                 return offset + index
             offset += triple.count
         return UNDEFINED
+
+    def ranks_of(self, world_ranks: Iterable[int]) -> Sequence[int]:
+        """Bulk :meth:`rank_of`: ``[rank_of(w) for w in world_ranks]``.
+
+        O(len) with no per-rank call for single-range and explicit groups;
+        non-members (including ranks outside the world) map to ``UNDEFINED``.
+        A ``range`` of members of a single-range group (another group's
+        :meth:`world_ranks`, say) translates to a ``range`` in O(1).
+        """
+        single = self._single
+        if single is not None:
+            first, stride, count = single
+            if isinstance(world_ranks, range) and world_ranks \
+                    and world_ranks.step % stride == 0:
+                # Both ends members and the step on the group's lattice:
+                # every element is a member, and the image is a range.
+                start = self.rank_of(world_ranks[0])
+                end = self.rank_of(world_ranks[-1])
+                if start != UNDEFINED and end != UNDEFINED:
+                    step = world_ranks.step // stride
+                    return range(start, end + (1 if step > 0 else -1), step)
+            last = first + (count - 1) * stride
+            return [(w - first) // stride
+                    if first <= w <= last and (w - first) % stride == 0
+                    else UNDEFINED
+                    for w in world_ranks]
+        if self._format == GroupFormat.EXPLICIT:
+            get = self._rank_index().get
+            return [get(w, UNDEFINED) for w in world_ranks]
+        return [self.rank_of(w) for w in world_ranks]
+
+    def _rank_index(self) -> dict:
+        index = self._index
+        if index is None:
+            ranks = self._ranks
+            index = self._index = dict(zip(ranks, range(len(ranks))))
+        return index
 
     def contains(self, world_rank: int) -> bool:
         return self.rank_of(world_rank) != UNDEFINED
@@ -223,7 +305,7 @@ class MpiGroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MpiGroup):
             return NotImplemented
-        return self.world_ranks() == other.world_ranks()
+        return tuple(self.world_ranks()) == tuple(other.world_ranks())
 
     def __hash__(self):
         return hash(tuple(self.world_ranks()))

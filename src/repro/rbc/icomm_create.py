@@ -54,7 +54,7 @@ def ensure_tuple_context(parent: MpiCommunicator) -> TupleContextId:
 def _group_as_parent_range(parent: MpiCommunicator,
                            group: MpiGroup) -> Optional[tuple[int, int]]:
     """(f', l') in parent ranks if ``group`` is a contiguous parent range."""
-    parent_ranks = sorted(parent.from_world(w) for w in group.world_ranks())
+    parent_ranks = sorted(parent.group.ranks_of(group.world_ranks()))
     if any(r < 0 for r in parent_ranks):
         raise ValueError("group contains processes outside the parent communicator")
     first, last = parent_ranks[0], parent_ranks[-1]

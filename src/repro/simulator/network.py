@@ -29,6 +29,14 @@ matches and timings.  :class:`Message` objects are pooled on the transport
 (``release_message`` / a free list capped at :data:`MESSAGE_POOL_MAX`), with
 :meth:`~repro.messaging.RecvRequest.take` recycling drained messages
 automatically.
+
+A payload is measured once.  Every message carries, next to its wire size
+``words`` (after any vendor word factor and rounding), the unscaled
+:func:`payload_words` count of its payload (``Message.payload_words``).  A
+collective schedule that forwards a received payload unchanged — the inner
+nodes of a broadcast tree, a ring allgather — hands that count back to
+``isend(words=...)`` instead of walking the payload again, so forwarding an
+O(p)-entry list down a p-rank tree costs O(p) host work once, not per hop.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ __all__ = [
     "LazyMailboxes",
     "MESSAGE_POOL_MAX",
     "Transport",
+    "check_words",
     "freeze_payload",
     "is_frozen_payload",
     "payload_words",
@@ -75,6 +84,11 @@ def payload_words(payload: Any) -> int:
     NumPy arrays count their elements (the paper's unit: one element equals
     one machine word), scalars count as one word, and generic containers count
     their length.  ``None`` (e.g. a barrier token) costs zero words.
+
+    Containers are walked recursively, so the cost is linear in the number
+    of items.  Callers measure a payload once: the count travels with the
+    message (``Message.payload_words``) and forwarding schedules pass it on
+    through ``isend(words=...)``.
     """
     if payload is None:
         return 0
@@ -95,6 +109,18 @@ def payload_words(payload: Any) -> int:
     if isinstance(payload, dict):
         return sum(payload_words(v) + 1 for v in payload.values())
     return 1
+
+
+def check_words(words) -> None:
+    """Reject an explicit word count that is not a non-negative integer.
+
+    A negative count would make a message arrive before an empty one (and
+    drive the word statistics negative); a fractional one has no meaning on
+    the wire.  ``bool`` is not accepted as an integer.
+    """
+    if isinstance(words, bool) or not isinstance(words, (int, np.integer)) \
+            or words < 0:
+        raise ValueError(f"words must be a non-negative integer, got {words!r}")
 
 
 def is_frozen_payload(array: np.ndarray) -> bool:
@@ -137,7 +163,13 @@ def freeze_payload(payload: Any) -> Any:
 
 
 class Message:
-    """A message in flight or waiting in a destination mailbox."""
+    """A message in flight or waiting in a destination mailbox.
+
+    ``words`` is the size the network priced (the cost-model unit, after any
+    vendor word factor); ``payload_words`` is the sender's unscaled
+    :func:`payload_words` count of ``payload``, which forwarding schedules
+    reuse instead of measuring the payload again.
+    """
 
     __slots__ = (
         "seq",
@@ -147,11 +179,13 @@ class Message:
         "context",
         "payload",
         "words",
+        "payload_words",
         "send_time",
         "arrival_time",
     )
 
-    def __init__(self, seq, src, dst, tag, context, payload, words, send_time, arrival_time):
+    def __init__(self, seq, src, dst, tag, context, payload, words, send_time,
+                 arrival_time, payload_words):
         self.seq = seq
         self.src = src
         self.dst = dst
@@ -159,6 +193,7 @@ class Message:
         self.context = context
         self.payload = payload
         self.words = words
+        self.payload_words = payload_words
         self.send_time = send_time
         self.arrival_time = arrival_time
 
@@ -606,13 +641,19 @@ class Transport:
     # ---------------------------------------------------------------- sending
 
     def post_send(self, src: int, dst: int, tag: int, context, payload,
-                  words: Optional[int] = None, local_delay: float = 0.0) -> SendHandle:
+                  words: Optional[int] = None, local_delay: float = 0.0,
+                  unscaled_words: Optional[int] = None) -> SendHandle:
         """Hand a message to the network; returns its :class:`SendHandle`.
 
-        ``local_delay`` models local work the sender performs before the
-        message can be injected (used by collective state machines to charge
-        e.g. the application of a reduction operator without blocking the
-        caller).
+        ``words`` is the wire size the network prices (measured with
+        :func:`payload_words` when omitted; an explicit value must be a
+        non-negative integer).  ``local_delay`` models local work the sender
+        performs before the message can be injected (used by collective state
+        machines to charge e.g. the application of a reduction operator
+        without blocking the caller).  ``unscaled_words`` is the payload's
+        count before a vendor word factor scaled it into ``words``; it is
+        stored as ``Message.payload_words`` (default: ``words``) so the
+        receiver can forward the payload without measuring it again.
         """
         num_ranks = self.num_ranks
         if src < 0 or src >= num_ranks:
@@ -621,6 +662,10 @@ class Transport:
             self._check_rank(dst, "destination")
         if words is None:
             words = payload_words(payload)
+        elif words.__class__ is not int or words < 0:
+            check_words(words)
+        if unscaled_words is None:
+            unscaled_words = words
         # Snapshot array payloads: MPI allows the application to reuse its send
         # buffer once the send completes locally, and the collective state
         # machines reuse buffers freely, so the wire copy must be immutable.
@@ -695,11 +740,12 @@ class Transport:
             message.context = context
             message.payload = payload
             message.words = words
+            message.payload_words = unscaled_words
             message.send_time = now
             message.arrival_time = arrival
         else:
             message = Message(next(self._seq), src, dst, tag, context,
-                              payload, words, now, arrival)
+                              payload, words, now, arrival, unscaled_words)
         # Tracer counters, inlined (one send per simulated message — the
         # method call was measurable).
         stats = self.tracer.stats

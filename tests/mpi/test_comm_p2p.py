@@ -1,5 +1,7 @@
 """Point-to-point communication and probing on simulated MPI communicators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,47 @@ def test_communication_respects_context_separation(run_ranks):
 
     results = run_ranks(2, program)
     assert results[1] == ("on-world", "on-dup")
+
+
+@pytest.mark.parametrize("words", [-10, -10**6, 2.5, "3"])
+def test_bad_explicit_words_rejected(run_cluster, words):
+    """A negative or non-integer ``words`` raises ValueError naming the value,
+    from isend and send alike (also towards PROC_NULL), and sends nothing."""
+    expected = re.escape(repr(words))
+
+    def program(env):
+        world = init_mpi(env)
+        if world.rank == 0:
+            with pytest.raises(ValueError, match=expected):
+                world.isend(None, 1, words=words)
+            with pytest.raises(ValueError, match=expected):
+                world.isend(None, PROC_NULL, words=words)
+            with pytest.raises(ValueError, match=expected):
+                yield from world.send(None, 1, words=words)
+        yield from env.sleep(0.0)
+        return True
+
+    result = run_cluster(2, program)
+    assert all(result.results)
+    assert result.stats.messages_sent == 0
+    assert result.stats.words_sent == 0
+
+
+def test_explicit_words_price_the_message(run_cluster):
+    """A valid explicit ``words`` overrides the measured size; zero words is
+    the cheapest message, and nothing arrives earlier than it."""
+    def program(env, words):
+        world = init_mpi(env)
+        if world.rank == 0:
+            yield from world.send(np.zeros(100), 1, words=words)
+            return None
+        data, status = yield from world.recv(0, return_status=True)
+        return env.now, status.count, data.size
+
+    arrivals = {}
+    for words in (0, 7):
+        result = run_cluster(2, program, words=words)
+        arrivals[words], count, size = result.results[1]
+        assert (count, size) == (words, 100)
+        assert result.stats.words_sent == words
+    assert arrivals[0] < arrivals[7]

@@ -1,8 +1,11 @@
 """Unit tests of the alpha-beta transport and message matching."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.collectives.endpoint import TransportEndpoint
 from repro.simulator.engine import Engine
 from repro.simulator.network import (
     ANY_SOURCE,
@@ -11,6 +14,7 @@ from repro.simulator.network import (
     Transport,
     payload_words,
 )
+from repro.simulator.process import RankEnv
 
 
 @pytest.fixture
@@ -179,6 +183,72 @@ def test_invalid_rank_rejected(setup):
         transport.post_send(-1, 0, 0, "c", None)
     with pytest.raises(ValueError):
         transport.find_match(99, 0, 0, "c")
+
+
+@pytest.mark.parametrize("words", [-10, -10**6, 2.5, 3.0, "3", True])
+def test_bad_explicit_words_rejected(setup, words):
+    """A negative or non-integer word count is refused before anything is
+    scheduled: no message, no statistics, no port time."""
+    engine, transport, _ = setup
+    with pytest.raises(ValueError, match=re.escape(repr(words))):
+        transport.post_send(0, 1, 0, "c", None, words)
+    stats = transport.tracer.stats
+    assert stats.messages_sent == 0 and stats.words_sent == 0
+    assert transport._send_port_free[0] == 0.0
+    engine.run()
+    assert transport.find_match(1, 0, 0, "c") is None
+
+
+def test_explicit_numpy_integer_words_accepted(setup):
+    engine, transport, params = setup
+    transport.post_send(0, 1, 0, "c", None, np.int64(4))
+    engine.run()
+    message = transport.find_match(1, 0, 0, "c")
+    assert message.words == 4
+    assert message.arrival_time == params.alpha + 4 * params.beta
+
+
+@pytest.mark.parametrize("words", [-10, 2.5, "3"])
+def test_endpoint_rejects_bad_explicit_words(setup, words):
+    engine, transport, _ = setup
+    env = RankEnv(0, 4, engine, transport)
+    ep = TransportEndpoint(env, transport, context="c", tag=0, rank=0,
+                           size=4, to_world=lambda rank: rank,
+                           word_cost_factor=1.5)
+    with pytest.raises(ValueError, match=re.escape(repr(words))):
+        ep.isend(None, 1, words=words)
+    assert transport.tracer.stats.messages_sent == 0
+
+
+def test_message_carries_unscaled_payload_words(setup):
+    """The wire size is scaled by the endpoint's word factor; the sender's
+    unscaled count travels with the message for forwarding."""
+    engine, transport, _ = setup
+    env = RankEnv(0, 4, engine, transport)
+    ep = TransportEndpoint(env, transport, context="c", tag=0, rank=0,
+                           size=4, to_world=lambda rank: rank,
+                           word_cost_factor=1.5)
+    ep.isend(np.zeros(7), 1)
+    ep.isend([1, 2, 3], 2, words=5)
+    engine.run()
+    measured = transport.find_match(1, 0, 0, "c")
+    assert (measured.words, measured.payload_words) == (round(7 * 1.5), 7)
+    explicit = transport.find_match(2, 0, 0, "c")
+    assert (explicit.words, explicit.payload_words) == (round(5 * 1.5), 5)
+
+
+def test_pooled_message_resets_payload_words(setup):
+    engine, transport, _ = setup
+    transport.post_send(0, 1, 0, "c", None, 12, 0.0, 8)
+    engine.run()
+    first = transport.take_match(1, 0, 0, "c")
+    assert (first.words, first.payload_words) == (12, 8)
+    transport.release_message(first)
+    transport.post_send(0, 1, 0, "c", np.zeros(3))
+    engine.run()
+    second = transport.take_match(1, 0, 0, "c")
+    assert second is first  # recycled from the pool
+    assert (second.words, second.payload_words) == (3, 3)
 
 
 def test_any_arrived_returns_earliest(setup):
