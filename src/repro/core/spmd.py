@@ -545,11 +545,11 @@ class _PhaseBase:
 
         Batch counterpart of per-member ``_join_at(..., proc=None)`` calls
         for drivers that know the whole phase up front (the allreduce
-        composition): one array assignment replaces per-join bookkeeping,
-        and the phase resolves in a single fused pass over a known member
-        order instead of re-testing readiness on every join.  No wake
-        events or request objects are involved — the driver reads the
-        returned ``(finish_times, results)`` lists directly.
+        composition, the jquick level phase): one array assignment replaces
+        per-join bookkeeping, and the phase resolves in a single fused pass
+        over a known member order instead of re-testing readiness on every
+        join.  No wake events or request objects are involved — the caller
+        reads the returned ``(finish_times, results)`` lists directly.
         """
         self.joined = list(times)
         self.values = list(values)
@@ -1086,7 +1086,7 @@ class _ScanPhase(_PhaseBase):
         world_rank = self.world[rank]
         send_free = self.transport._send_port_free
         stats = self.stats
-        recv_side = self._recv_side
+        recv = self._logs.recv
         commit_caps = self._logs.commit_caps
         pending = self._cap_pending
         compute_cost = self.compute_cost
@@ -1098,9 +1098,10 @@ class _ScanPhase(_PhaseBase):
         my_sends: dict = {}
         nsent = 0
         wsent = 0
+        nrecv = 0
+        wrecv = 0
         for distance in self.rounds:
             leave = None
-            arrival = None
             if rank + distance < size:
                 if acc is not value:
                     acc = freeze_payload(acc)
@@ -1119,24 +1120,30 @@ class _ScanPhase(_PhaseBase):
                 send_free[world_rank] = leave
                 nsent += 1
                 wsent += wire
-                my_sends[distance] = (leave, wire, acc, resume, beta)
+                my_sends[distance] = (leave, wire, acc, resume, beta, words)
+                if leave > resume:
+                    resume = leave
             pending_delay = 0.0
             if rank - distance >= 0:
-                s_leave, s_wire, s_value, s_post, s_beta = \
+                # Receiver half: ``_recv_side`` inlined.  The sender's word
+                # count is the receiver's, too (same payload object).
+                s_leave, s_wire, s_value, s_post, s_beta, s_words = \
                     sends[rank - distance][distance]
-                arrival = recv_side(rank, s_leave, s_wire, s_post, s_beta)
-                pending_delay = compute_cost(payload_words(s_value))
+                arrival = recv(self, world_rank, s_post, s_leave,
+                               s_wire * s_beta)
+                nrecv += 1
+                wrecv += s_wire
+                pending_delay = compute_cost(s_words)
                 acc = op(s_value, acc)
-            if leave is not None or arrival is not None:
-                if leave is not None and leave > resume:
-                    resume = leave
-                if arrival is not None and arrival > resume:
+                if arrival > resume:
                     resume = arrival
-            commit_caps(pending, resume)
+                commit_caps(pending, resume)
         stats.messages_sent += nsent
         stats.words_sent += wsent
         stats.per_rank_messages_sent[world_rank] += nsent
         stats.per_rank_words_sent[world_rank] += wsent
+        self._recvd_by_rank[world_rank] += nrecv
+        self._recvd_words_by_rank[world_rank] += wrecv
         sends[rank] = my_sends
         self._finish(rank, resume, acc)
 
@@ -1490,11 +1497,20 @@ class _ReducePhase(_TreeUpPhase):
 class _GatherPhase(_TreeUpPhase):
     kind = "gather"
 
+    #: Per-member ``1 + payload_words(value)``, when the phase that feeds
+    #: this one knows the counts up front (the jquick level phase); None
+    #: measures each value.
+    member_words: Optional[list] = None
+
     def _up_payload(self, rank: int, children: list[int]) -> tuple:
         # Native payload is a list of (group_rank, value) pairs; only its
         # word count matters for pricing, and only the root materialises the
         # final list.  payload_words(list of pairs) = sum(1 + words(value)).
-        words = 1 + payload_words(self.values[rank])
+        member_words = self.member_words
+        if member_words is None:
+            words = 1 + payload_words(self.values[rank])
+        else:
+            words = member_words[rank]
         up_send = self.up_send
         for child in children:
             words += up_send[child][3]
@@ -1797,8 +1813,36 @@ class _ExchangePhase(_PhaseBase):
         self.max_leave: list = [0.0] * size
         self.cap_words: list = [0] * size
         self.charge: list = [False] * size
+        self.settled: list = [False] * size
 
     def on_join(self, rank: int) -> None:
+        expected = self.expected
+        for member, finish in self._post(rank):
+            self._finish(member, finish, expected[member])
+
+    def _resolve_fed(self) -> None:
+        """Every member known up front: replay the join-order loop.
+
+        Member ``m``'s sends post, then ``m`` and the members it touched
+        settle — exactly what ``on_join`` does as the joins arrive in
+        member order, so port writes and refusals are those of the live
+        path; finishes land in the fed lists instead of requests.
+        """
+        fed_finish = self._fed_finish
+        fed_values = self._fed_values
+        expected = self.expected
+        for rank in range(self.size):
+            for member, finish in self._post(rank):
+                fed_finish[member] = finish
+                fed_values[member] = expected[member]
+
+    def _post(self, rank: int) -> list:
+        """Post ``rank``'s sends at its join; returns newly settled members.
+
+        The result lists ``(member, finish)`` for ``rank`` and then the
+        destinations it touched, in that order, for each one whose inbound
+        messages are now all folded.
+        """
         post_time = self.joined[rank]
         pieces, expected, cap_words, charge = self.values[rank]
         self.values[rank] = None
@@ -1809,7 +1853,7 @@ class _ExchangePhase(_PhaseBase):
         logs = self._logs
         inbound = self.inbound
         best_leave = 0.0
-        touched = []
+        touched = [rank]
         tiered = self._tiered
         for dest, words in pieces:
             wire = self._wire_words(words)
@@ -1824,26 +1868,29 @@ class _ExchangePhase(_PhaseBase):
             if leave > best_leave:
                 best_leave = leave
         self.max_leave[rank] = best_leave
-        self._try_resolve(rank)
-        for dest in touched:
-            self._try_resolve(dest)
+        settled = []
+        for member in touched:
+            finish = self._try_resolve(member)
+            if finish is not None:
+                settled.append((member, finish))
+        return settled
 
-    def _try_resolve(self, member: int) -> None:
+    def _try_resolve(self, member: int) -> Optional[float]:
+        """Settle ``member`` if it joined and all inbound messages folded;
+        returns its finish time, or None."""
         expected = self.expected[member]
-        if expected is None:
-            return  # not joined yet
-        request = self.requests[member]
-        if request._ready:
-            return
+        if expected is None or self.settled[member]:
+            return None  # not joined yet, or already settled
         slots = self.inbound[member]
         arrived = len(slots)
         if arrived < expected:
-            return
+            return None
         if arrived > expected:
             raise LockstepError(
                 f"lockstep exchange: member {member} expected {expected} "
                 f"inbound message(s) but {arrived} were posted — the "
                 f"participants disagree on the assignment")
+        self.settled[member] = True
         # Re-read arrivals: out-of-order inserts from overlapping phases may
         # have re-folded them upward since the send was priced.
         drain = self.joined[member]
@@ -1859,7 +1906,7 @@ class _ExchangePhase(_PhaseBase):
         leave = self.max_leave[member]
         if leave > finish:
             finish = leave
-        self._finish(member, finish, arrived)
+        return finish
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from .network import Transport
 
 __all__ = ["RankEnv"]
 
+_INF = float("inf")
+
 
 class RankEnv:
     """Everything a rank program needs to talk to the simulated machine.
@@ -61,7 +63,15 @@ class RankEnv:
             yield Sleep(duration)
 
     def compute(self, operations: float):
-        """Charge ``operations`` elementary local operations (gamma each)."""
+        """Charge ``operations`` elementary local operations (gamma each).
+
+        ``operations`` must be finite and non-negative (zero is free);
+        anything else raises ``ValueError`` before the tracer records it.
+        """
+        if not 0 <= operations < _INF:
+            raise ValueError(
+                f"compute operations must be finite and non-negative: "
+                f"{operations!r}")
         cost = self.params.compute_cost(operations)
         if self.transport.tracer is not None:
             self.transport.tracer.record_compute(self.rank, cost)
@@ -69,7 +79,14 @@ class RankEnv:
             yield Sleep(cost)
 
     def compute_time(self, duration: float):
-        """Charge an explicit amount of local time (already in microseconds)."""
+        """Charge an explicit amount of local time (already in microseconds).
+
+        ``duration`` must be finite and non-negative, as for :meth:`compute`.
+        """
+        if not 0 <= duration < _INF:
+            raise ValueError(
+                f"compute duration must be finite and non-negative: "
+                f"{duration!r}")
         if self.transport.tracer is not None:
             self.transport.tracer.record_compute(self.rank, duration)
         if duration > 0:

@@ -16,16 +16,18 @@ retired once every member has consumed its exchange row (or released it on a
 degenerate split).  Everything a record precomputes before the members'
 arrival — row sizes, sample counts, sample indices — is slot arithmetic, a
 pure function of ``(n, p, lo, hi, level, seed)`` that every member derives
-identically; the data-dependent steps (partition, assignment) run memoised on
-first request, after the whole group has registered its rows, which the
-gather/bcast ordering of pivot selection guarantees.
+identically; the data-dependent steps (pivot, partition, assignment) run
+inside the level phase once every member has joined, and so registered its
+row.
 
 Bit-identity: every batched kernel is the bit-exact row-stacked form of the
-scalar call it replaces (property-pinned in the kernel modules), and the
-exchange is priced through :func:`repro.core.spmd.join_exchange`, the
-analytic mirror of the native drain loop.  The tier therefore reproduces the
-scalar frontier's results and simulated times exactly; the differential
-suite in ``tests/test_jquick_batched.py`` pins this end to end.
+scalar call it replaces (property-pinned in the kernel modules), the pivot
+is :func:`~repro.sorting.pivot.median_of_samples` of the stacked samples,
+and the exchange is priced by the phase behind
+:func:`repro.core.spmd.join_exchange`, the analytic mirror of the native
+drain loop.  The tier therefore reproduces the scalar frontier's results and
+simulated times exactly; the differential suite in
+``tests/sorting/test_jquick_batched.py`` pins this end to end.
 """
 
 from __future__ import annotations
@@ -45,9 +47,17 @@ from ..mpi.datatypes import SUM
 from ..rbc.comm import RBC_CREATE_OPS
 from .assignment import greedy_assignment_rows
 from .kernels import fused_partition_rows
+from .partition import Pivot
 from .pivot import median_of_samples, sample_count
 
-__all__ = ["LevelBatcher", "join_jq_level"]
+__all__ = ["LevelBatcher", "join_jq_level", "SCAN_VECTOR_MIN_SIZE"]
+
+#: Smallest group whose count scan the level phase prices with the
+#: vectorised fast-forward pricer; smaller groups take the scalar frontier.
+#: Both are bit-identical, so this only trades NumPy round set-up against
+#: per-member Python loops (measured per scan inside whole sorts, see the
+#: README section "Scaling to paper size").
+SCAN_VECTOR_MIN_SIZE = 32
 
 
 class _LevelRecord:
@@ -56,7 +66,7 @@ class _LevelRecord:
     __slots__ = (
         "first", "last", "lo", "hi", "level", "size", "n", "p", "config",
         "row_lo", "row_sizes", "row_offsets", "local_counts",
-        "indices", "index_offsets", "rows", "registered",
+        "indices", "index_offsets", "rows", "registered", "values",
         "buffer", "small_counts", "total_small",
         "piece_dest", "piece_len", "piece_offsets", "expected",
         "consumed",
@@ -98,6 +108,7 @@ class _LevelRecord:
             keys, self.local_counts, row_sizes)
         self.rows: list = [None] * size
         self.registered = 0
+        self.values = None
         self.buffer = None
         self.small_counts = None
         self.total_small = 0
@@ -137,51 +148,57 @@ class LevelBatcher:
     # ------------------------------------------------------------- member API
 
     def register(self, record: _LevelRecord, group_rank: int,
-                 data: np.ndarray):
-        """Deposit a member's row; returns its ``(sample_indices, count)``."""
+                 data: np.ndarray) -> None:
+        """Deposit a member's row."""
         if record.rows[group_rank] is None:
             record.rows[group_rank] = data
             record.registered += 1
-        offsets = record.index_offsets
-        indices = record.indices[offsets[group_rank]:offsets[group_rank + 1]]
-        return indices, int(record.local_counts[group_rank])
 
-    def partition(self, record: _LevelRecord, group_rank: int,
-                  pivot_value: float, pivot_slot: int,
-                  tie_breaking: bool) -> int:
-        """Group-wide fused partition (memoised); returns the member's
-        small count.
+    def pivot(self, record: _LevelRecord) -> Pivot:
+        """The level's pivot: the median of every member's samples.
 
-        First called by whichever member leaves the pivot broadcast first; by
-        then every member has registered (registration happens before the
-        sample gather, which completes before the broadcast resolves).
+        The group's rows are stacked once; the gathered samples are the
+        picks of every row in member order, so one chunk of them gives
+        :func:`median_of_samples` exactly the concatenation it would build
+        from the per-member chunks member 0 gathers.
         """
-        if record.buffer is None:
-            if record.registered != record.size:
-                raise RuntimeError(
-                    f"jquick batched level [{record.lo}, {record.hi}) at "
-                    f"level {record.level}: partition requested with "
-                    f"{record.registered}/{record.size} rows registered")
-            values = np.concatenate(record.rows)
-            if tie_breaking:
-                cuts = np.clip(pivot_slot - record.row_lo, 0,
-                               record.row_sizes)
-            else:
-                cuts = np.zeros(record.size, dtype=np.int64)
-            buffer, small_counts = fused_partition_rows(
-                values, record.row_offsets, cuts, pivot_value)
-            # The buffer *is* the task's slot region [lo, hi) after the
-            # exchange; freeze it so the views handed to child tasks (and
-            # base-case messages sent from them) skip the transport snapshot.
-            buffer.flags.writeable = False
-            record.buffer = buffer
-            record.small_counts = small_counts
-            record.total_small = int(small_counts.sum())
-            record.rows = None
-        return int(record.small_counts[group_rank])
+        if record.registered != record.size:
+            raise RuntimeError(
+                f"jquick batched level [{record.lo}, {record.hi}) at "
+                f"level {record.level}: pivot requested with "
+                f"{record.registered}/{record.size} rows registered")
+        values = record.values = np.concatenate(record.rows)
+        record.rows = None
+        counts = record.local_counts
+        picks = record.indices
+        return median_of_samples([(
+            values[np.repeat(record.row_offsets[:-1], counts) + picks],
+            np.repeat(record.row_lo, counts) + picks)])
+
+    def partition(self, record: _LevelRecord, pivot_value: float,
+                  pivot_slot: int, tie_breaking: bool) -> None:
+        """Group-wide fused partition of the stacked rows around the pivot.
+
+        Fills ``buffer`` (the task's slot region after the exchange),
+        ``small_counts`` and ``total_small``; ``pivot`` must have run.
+        """
+        if tie_breaking:
+            cuts = np.clip(pivot_slot - record.row_lo, 0, record.row_sizes)
+        else:
+            cuts = np.zeros(record.size, dtype=np.int64)
+        buffer, small_counts = fused_partition_rows(
+            record.values, record.row_offsets, cuts, pivot_value)
+        # The buffer *is* the task's slot region [lo, hi) after the
+        # exchange; freeze it so the views handed to child tasks (and
+        # base-case messages sent from them) skip the transport snapshot.
+        buffer.flags.writeable = False
+        record.buffer = buffer
+        record.small_counts = small_counts
+        record.total_small = int(small_counts.sum())
+        record.values = None
 
     def assignment(self, record: _LevelRecord) -> None:
-        """Group-wide greedy assignment (memoised).
+        """Group-wide greedy assignment; ``partition`` must have run.
 
         Fills the record's piece arrays — rank ``g``'s outgoing pieces are
         ``piece_dest/piece_len[piece_offsets[g]:piece_offsets[g + 1]]`` in
@@ -189,8 +206,6 @@ class LevelBatcher:
         order) — and ``expected``, the per-member count of inbound remote
         messages.
         """
-        if record.piece_offsets is not None:
-            return
         small_counts = record.small_counts
         size = record.size
         small_prefixes = np.zeros(size, dtype=np.int64)
@@ -213,19 +228,20 @@ class LevelBatcher:
         record.expected = np.bincount(dest[remote] - record.first,
                                       minlength=size)
 
-    def pieces(self, record: _LevelRecord, group_rank: int) -> list:
-        """The member's outgoing remote messages as ``(dest_member, words)``.
+    def pieces(self, record: _LevelRecord) -> list:
+        """Every member's outgoing remote messages as ``(dest_member,
+        words)`` lists, indexed by member.
 
         Self-copies are excluded; ``words`` counts the native
         ``(slot_start, chunk)`` payload.  ``assignment`` must have run.
         """
-        my_rank = record.first + group_rank
-        begin = int(record.piece_offsets[group_rank])
-        end = int(record.piece_offsets[group_rank + 1])
-        dest = record.piece_dest
-        length = record.piece_len
-        return [(int(dest[i]) - record.first, 1 + int(length[i]))
-                for i in range(begin, end) if dest[i] != my_rank]
+        dest = (record.piece_dest - record.first).tolist()
+        words = (record.piece_len + 1).tolist()
+        offsets = record.piece_offsets.tolist()
+        return [[(d, w) for d, w in zip(dest[offsets[m]:offsets[m + 1]],
+                                        words[offsets[m]:offsets[m + 1]])
+                 if d != m]
+                for m in range(record.size)]
 
     def take_view(self, record: _LevelRecord, group_rank: int) -> np.ndarray:
         """The member's post-exchange slot region (a frozen view of the
@@ -285,12 +301,19 @@ class _JQLevelPhase(_PhaseBase):
     * the two compute charges are added onto the member's join time (with
       the tracer updated exactly as ``env.compute`` would);
     * the five sub-steps run as the *existing* phase classes of
-      :mod:`repro.core.spmd`, driven through ``_join_at`` with synthetic
-      join times — each member enters a sub-phase at its finish time from
-      the previous one, which is precisely when the engine would have
-      resumed it to issue the next call.  Port folds, payload snapshots,
-      tracer counters and float operand order are therefore those of the
-      unfused tier, bit for bit;
+      :mod:`repro.core.spmd` with synthetic join times — each member enters
+      a sub-phase at its finish time from the previous one, which is
+      precisely when the engine would have resumed it to issue the next
+      call.  The sample gather, both broadcasts and the exchange are *fed*
+      (``_feed_all``): one pass over plain lists, no per-member request or
+      cascade.  Their per-port write sequences are those of the per-member
+      joins (every port is written by one resolve, in the same order), so
+      port folds, payload snapshots, tracer counters and float operand
+      order are those of the unfused tier, bit for bit;
+    * the count scan keeps its per-member joins, so its deferred flush event
+      is armed (and later fires as a no-op) exactly as on the unfused tier;
+      groups below :data:`SCAN_VECTOR_MIN_SIZE` resolve it on the scalar
+      frontier, larger ones with the vectorised pricer;
     * the member wakes once, at its native end-of-level time, with
       ``(total_small, messages)``.
 
@@ -372,82 +395,70 @@ class _JQLevelPhase(_PhaseBase):
         self._span_starts = times
 
         # --- 1. sample gather to member 0 --------------------------------
-        offsets = record.index_offsets
-        indices = record.indices
-        rows = record.rows
-        row_lo = record.row_lo
+        # Only word counts price the gather: member m's (values, slots) pair
+        # of picks, plus the gathered list's per-pair rank word.  The pivot
+        # comes from the stacked rows, so no sample chunk is built.
         gather = self._sub(_GatherPhase, None, 0)
-        for m in range(size):
-            picks = indices[offsets[m]:offsets[m + 1]]
-            row = rows[m]
-            if picks.size:
-                value = (row[picks], row_lo[m] + picks)
-            else:
-                value = (row[:0], picks)
-            gather._join_at(m, value, times[m], env, None)
+        gather.member_words = [1 + 2 * count for count in local_counts]
+        finish, _ = gather._feed_all(times, [None] * size)
 
         # --- 2. pivot broadcast from member 0 ----------------------------
-        pivot = median_of_samples(gather.requests[0]._value)
+        pivot = batcher.pivot(record)
         payload = (pivot.value, pivot.slot)
         bcast = self._sub(_BcastPhase, None, 0)
-        requests = gather.requests
-        for m in range(size):
-            bcast._join_at(m, payload if m == 0 else None,
-                           requests[m].finish_time, env, None)
-        pivot_value = float(payload[0])
-        pivot_slot = int(payload[1])
+        finish, _ = bcast._feed_all(finish, [payload] + [None] * (size - 1))
 
         # --- 3. group-wide fused partition (host side, no simulated time) -
-        batcher.partition(record, 0, pivot_value, pivot_slot,
+        batcher.partition(record, pivot.value, pivot.slot,
                           config.tie_breaking)
-        small_counts = record.small_counts.tolist()
+        small_counts = record.small_counts
 
         # --- 4. prefix scan of the (small, large) counts ------------------
+        # Per-member joins: the first arms the scan's deferred flush event,
+        # which fires later as a no-op, exactly as on the unfused tier.
+        counts = np.empty((size, 2), dtype=np.int64)
+        counts[:, 0] = small_counts
+        counts[:, 1] = record.row_sizes - small_counts
         scan = self._sub(_ScanPhase, SUM, 0)
-        requests = bcast.requests
-        for m in range(size):
-            counts = np.array(
-                [small_counts[m], row_sizes[m] - small_counts[m]],
-                dtype=np.int64)
-            scan._join_at(m, counts, requests[m].finish_time, env, None)
+        join_at = scan._join_at
+        for m, row in enumerate(counts):
+            join_at(m, row, finish[m], env, None)
         if scan._flush_armed:
-            # The deferred flush the scan armed at its first join fires as a
-            # harmless no-op later; resolve it now, with every join visible,
-            # exactly as the event would have at this same instant.
-            scan._flush(None)
+            # Resolve the armed flush now, with every join visible, exactly
+            # as the event would have at this same instant.  Small groups
+            # take the scalar frontier: below the cutoff the round arrays
+            # cost more than the per-member loop they replace.
+            if size < SCAN_VECTOR_MIN_SIZE:
+                scan._flush_armed = False
+                scan._advance()
+            else:
+                scan._flush(None)
+        requests = scan.requests
+        finish = [request.finish_time for request in requests]
 
         # --- 5. totals broadcast from the last member ---------------------
-        inclusive = scan.requests[size - 1]._value
+        inclusive = requests[size - 1]._value
         bcast2 = self._sub(_BcastPhase, None, size - 1)
-        requests = scan.requests
-        for m in range(size):
-            bcast2._join_at(m, inclusive if m == size - 1 else None,
-                            requests[m].finish_time, env, None)
+        finish, _ = bcast2._feed_all(finish, [None] * (size - 1) + [inclusive])
         total_small = int(inclusive[0])
 
-        requests = bcast2.requests
         if total_small == 0 or total_small == record.hi - record.lo:
             # Degenerate split: the level ends at the totals broadcast and
             # the members retry with fresh samples.
             for m in range(size):
-                self._finish(m, requests[m].finish_time, (total_small, 0))
+                self._finish(m, finish[m], (total_small, 0))
             return
 
         # --- 6. analytic data exchange ------------------------------------
         batcher.assignment(record)
-        expected = record.expected
+        expected = record.expected.tolist()
+        pieces = batcher.pieces(record)
         exchange = self._sub(_ExchangePhase, None, 0)
+        finish, messages = exchange._feed_all(
+            finish, [(pieces[m], expected[m], row_sizes[m], charge)
+                     for m in range(size)])
         for m in range(size):
-            exchange._join_at(
-                m,
-                (batcher.pieces(record, m), int(expected[m]), row_sizes[m],
-                 charge),
-                requests[m].finish_time, env, None)
-        requests = exchange.requests
-        for m in range(size):
-            request = requests[m]
-            self._finish(m, request.finish_time, (total_small,
-                                                  request._value))
+            self._finish(m, finish[m], (total_small, messages[m]))
 
 
 SpmdCoordinator.register_kind("jqlevel", lambda *args: _JQLevelPhase(*args))

@@ -251,6 +251,12 @@ class _JQuickRun:
 
     def execute(self, data: np.ndarray):
         """Env-level generator running both phases; returns (array, stats)."""
+        if data.dtype.kind in "fc" and np.isnan(data).any():
+            # NaN compares false against every pivot, so no split ever
+            # separates it and the recursion would spin to max_levels.
+            raise ValueError(
+                f"rank {self.rank}: input contains NaN keys, which have no "
+                f"total order to sort by")
         self.dtype = data.dtype
         world = self.backend.world_channel()
 

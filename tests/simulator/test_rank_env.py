@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulator import Cluster, NetworkParams
+from repro.simulator.errors import RankFailedError
 
 
 def test_now_tracks_virtual_time():
@@ -33,7 +34,9 @@ def test_compute_zero_is_free_and_does_not_yield_time():
         yield from env.compute_time(0.0)
         return env.now
 
-    assert Cluster(1).run(program).results[0] == 0.0
+    cluster = Cluster(1)
+    assert cluster.run(program).results[0] == 0.0
+    assert cluster.tracer.stats.compute_time == [0.0]
 
 
 def test_compute_is_recorded_in_trace():
@@ -45,6 +48,39 @@ def test_compute_is_recorded_in_trace():
     cluster.run(program)
     recorded = cluster.tracer.stats.compute_time
     assert all(value > 0 for value in recorded)
+
+
+@pytest.mark.parametrize("method", ["compute", "compute_time"])
+@pytest.mark.parametrize("amount", [float("nan"), -1.0, -1e-300,
+                                    float("inf"), float("-inf")])
+def test_compute_rejects_non_finite_and_negative_amounts(method, amount):
+    """A bad amount raises ValueError naming it, before the tracer adds it:
+    the per-rank compute totals stay untouched (NaN used to leak into them
+    because the ``cost > 0`` guard skipped ``Sleep``'s own check)."""
+
+    def program(env):
+        try:
+            yield from getattr(env, method)(amount)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    cluster = Cluster(2)
+    messages = cluster.run(program).results
+    assert all(message is not None and repr(amount) in message
+               and "finite and non-negative" in message
+               for message in messages)
+    assert cluster.tracer.stats.compute_time == [0.0, 0.0]
+
+
+def test_compute_rejection_fails_the_rank():
+    def program(env):
+        yield from env.compute(float("nan"))
+
+    with pytest.raises(RankFailedError) as excinfo:
+        Cluster(2).run(program)
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    assert "nan" in str(excinfo.value.__cause__)
 
 
 def test_wait_until_with_side_effecting_predicate():

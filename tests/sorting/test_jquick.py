@@ -151,6 +151,42 @@ def test_rejects_unbalanced_input_layout():
                        rank_kwargs=[dict(local_data=parts[r]) for r in range(p)])
 
 
+@pytest.mark.parametrize("backend,n,batch_levels", [
+    ("rbc", 4, True),      # batched tier (n == p)
+    ("rbc", 4, False),     # scalar frontier, same input
+    ("rbc", 16, None),
+    ("mpi", 4, None),
+    ("mpi", 16, None),
+])
+def test_rejects_nan_keys_naming_the_rank(backend, n, batch_levels):
+    """NaN has no order: no pivot ever splits it off, so the recursion used
+    to spin until ``max_levels`` ("exceeded 300 levels").  Every tier and
+    backend now rejects it up front, naming the offending rank."""
+    p = 4
+    parts = generate("uniform", n, p, seed=1)
+    parts[2] = parts[2].copy()
+    parts[2][0] = np.nan
+    config = JQuickConfig(seed=1, batch_levels=batch_levels)
+
+    def program(env, local_data):
+        world_mpi = init_mpi(env, vendor="intel")
+        if backend == "rbc":
+            world = yield from create_rbc_comm(world_mpi)
+            jq_backend = RbcBackend(world)
+        else:
+            jq_backend = NativeMpiBackend(world_mpi)
+        output, _stats = yield from jquick(env, jq_backend, local_data, config)
+        return output
+
+    from repro.simulator import RankFailedError
+    with pytest.raises(RankFailedError) as excinfo:
+        Cluster(p).run(program,
+                       rank_kwargs=[dict(local_data=parts[r]) for r in range(p)])
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, ValueError)
+    assert "rank 2" in str(cause) and "NaN" in str(cause)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         JQuickConfig(schedule="zigzag")

@@ -20,6 +20,7 @@ from repro.mpi import init_mpi
 from repro.rbc import create_rbc_comm
 from repro.simulator import Cluster
 from repro.sorting import JQuickConfig, RbcBackend, jquick
+from repro.sorting.batched import SCAN_VECTOR_MIN_SIZE
 from repro.sorting.jquick import JQUICK_BATCH_MIN_RANKS
 
 #: Lockstep phase kinds this module covers differentially (scanned by
@@ -59,6 +60,7 @@ def _balanced(values, p):
 
 
 def _assert_identical(values, p, seed):
+    """Batched, scalar and reference-engine runs agree; returns all three."""
     batched = _run(values, p, batch_levels=True, seed=seed)
     scalar = _run(values, p, batch_levels=False, seed=seed)
     reference = _run(values, p, batch_levels=False, seed=seed,
@@ -76,6 +78,7 @@ def _assert_identical(values, p, seed):
     merged = np.concatenate([batched.results[r][1] for r in range(p)])
     assert np.all(np.diff(merged) >= 0)
     assert merged.size == values.size
+    return batched, scalar, reference
 
 
 # ---------------------------------------------------------------------------
@@ -152,3 +155,31 @@ def test_forced_batching_rejects_n_not_equal_p():
     with pytest.raises(Exception) as excinfo:
         _run(values, p, batch_levels=True)
     assert "batch_levels" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# The level phase's count-scan cutoff.
+# ---------------------------------------------------------------------------
+
+#: ``events_processed`` of the batched runs below, pinned from the level
+#: phase that joined every sub-phase member by member.  The fed sub-phases
+#: must keep every wake-up and the count scan's deferred flush event.
+_CUTOFF_EVENTS = {31: 388, 32: 393, 33: 407}
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_scan_cutoff_bit_identical_and_events_pinned(offset):
+    """The top level's count scan runs on the scalar frontier just below
+    ``SCAN_VECTOR_MIN_SIZE`` and vectorised from it on; either way the
+    batched tier matches the scalar frontier and the reference engine."""
+    p = SCAN_VECTOR_MIN_SIZE + offset
+    assert p in _CUTOFF_EVENTS, \
+        "SCAN_VECTOR_MIN_SIZE moved: re-pin _CUTOFF_EVENTS around it"
+    values = np.random.default_rng(p).random(p)
+    batched, scalar, reference = _assert_identical(values, p, seed=23)
+    assert batched.total_time == scalar.total_time == reference.total_time
+    for field in ("per_rank_messages_sent", "per_rank_messages_received",
+                  "per_rank_words_sent", "per_rank_words_received"):
+        assert getattr(batched.stats, field) == getattr(scalar.stats, field) \
+            == getattr(reference.stats, field)
+    assert batched.events_processed == _CUTOFF_EVENTS[p]
